@@ -14,6 +14,11 @@
 //   * fused-attention                  (the per-head slice/band/scatter
 //                                       serving path vs the fused streaming
 //                                       batch kernel)
+//   * gelu_into      FFN hidden shape   (a scalar std::tanh GELU pass vs the
+//                                       vectorizable rational-tanh gelu_into;
+//                                       rates count one GELU as one op)
+//   * gemm_packed_gelu FFN-expand shape (gemm_packed_into + the std::tanh
+//                                       pass vs the fused GELU epilogue)
 //
 // Usage: kernels_microbench [--smoke] [--out <path>]
 //   --smoke   small shapes / fewer reps (CI)
@@ -63,6 +68,18 @@ double best_time(int reps, Fn&& fn) {
     best = std::min(best, now_seconds() - t0);
   }
   return best;
+}
+
+/// GELU as the encoder evaluated it before the rational tanh: scalar
+/// std::tanh per element, kept verbatim as the gelu arms' baseline.
+void std_tanh_gelu_pass(const MatrixF& x, MatrixF& out) {
+  const float c = std::sqrt(2.0f / 3.14159265358979f);
+  auto in = x.flat();
+  auto o = out.flat();
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const float v = in[i];
+    o[i] = 0.5f * v * (1.0f + std::tanh(c * (v + 0.044715f * v * v * v)));
+  }
 }
 
 /// The seed repository's sliding-chunks phase-1/phase-2 implementation,
@@ -347,6 +364,59 @@ int main(int argc, char** argv) {
       h.max_abs_diff = swat::max_abs_diff(c_f16, c_packed);
       rows.push_back(h);
     }
+  }
+
+  // ---- GELU on the FFN hidden buffer --------------------------------------
+  // The FFN-expand stage's activation, alone (gelu_into) and fused into the
+  // packed GEMM's epilogue (gemm_packed_gelu_into), each against the scalar
+  // std::tanh GELU it replaced. max_abs_diff is against that std::tanh form:
+  // the rational tanh's approximation error, not an implementation bug.
+  {
+    const std::int64_t gm = smoke ? 128 : 512;
+    const std::int64_t gk = smoke ? 256 : 768;
+    const std::int64_t gn = smoke ? 512 : 3072;
+    const std::string shape = std::to_string(gm) + "x" + std::to_string(gk) +
+                              "x" + std::to_string(gn);
+    const swat::MatrixF a = swat::random_normal(gm, gk, rng);
+    const swat::MatrixF w = swat::random_normal(gn, gk, rng, 0.05);
+    std::vector<float> bias(static_cast<std::size_t>(gn));
+    for (float& b : bias) b = static_cast<float>(rng.uniform(-1.0, 1.0));
+    swat::PackedWeight packed;
+    swat::pack_weight_nt(w, packed);
+    swat::MatrixF hidden(gm, gn), base(gm, gn), got(gm, gn);
+    swat::gemm_packed_into(a, packed, bias, hidden);
+
+    BenchRow g;
+    g.name = "gelu_into_" + std::to_string(gm) + "x" + std::to_string(gn);
+    g.baseline = "std_tanh_gelu_pass";
+    g.flops = static_cast<double>(gm * gn);  // one GELU = one op
+    swat::set_num_threads(1);
+    g.naive_s = best_time(reps, [&] { std_tanh_gelu_pass(hidden, base); });
+    g.blocked_1t_s = best_time(reps, [&] { swat::gelu_into(hidden, got); });
+    swat::set_num_threads(pool_threads);
+    g.blocked_mt_s = best_time(reps, [&] { swat::gelu_into(hidden, got); });
+    g.max_abs_diff = swat::max_abs_diff(got, base);
+    rows.push_back(g);
+
+    BenchRow f;
+    f.name = "gemm_packed_gelu_ffn_" + shape;
+    f.baseline = "gemm_packed_plus_std_tanh_gelu";
+    f.flops = 2.0 * gm * gk * gn;
+    f.weight_bytes = static_cast<double>(packed.bytes());
+    swat::set_num_threads(1);
+    f.naive_s = best_time(reps, [&] {
+      swat::gemm_packed_into(a, packed, bias, hidden);
+      std_tanh_gelu_pass(hidden, base);
+    });
+    f.blocked_1t_s = best_time(reps, [&] {
+      swat::gemm_packed_gelu_into(a, packed, bias, got);
+    });
+    swat::set_num_threads(pool_threads);
+    f.blocked_mt_s = best_time(reps, [&] {
+      swat::gemm_packed_gelu_into(a, packed, bias, got);
+    });
+    f.max_abs_diff = swat::max_abs_diff(got, base);
+    rows.push_back(f);
   }
 
   // ---- fused streaming attention (the serving kernel) -------------------

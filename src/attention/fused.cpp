@@ -1,7 +1,9 @@
 #include "attention/fused.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -29,6 +31,51 @@ namespace {
 // as the batch converter (exact widening), no out-of-line call per element.
 inline float f16_tail_to_f32(std::uint16_t bits) { return _cvtsh_ss(bits); }
 #endif
+
+// Row guard shared by both batch workers. Eq. 1's unshifted exp overflows
+// for scores above ~88.7 (an infinite denominator, or an infinite S'V sum)
+// and underflows to 0 when a whole band scores below ~-103 (0/0 in the
+// output). The fast path checks each finished row for exactly those
+// outcomes and recomputes only such a row (its scores rebuilt from the K
+// tile) in fused_window_attention_online's running-max form, which is
+// finite over float's whole range. Every other row keeps its Eq. 1 bits.
+struct OnlineRow {
+  float running_max = -std::numeric_limits<float>::infinity();
+  float denom = 0.0f;
+};
+
+/// One step of the online (running-max) softmax update, shared by
+/// fused_window_attention_online and the row guard: score s, V row vr,
+/// output accumulator za (h lanes). When s raises the running max, the
+/// accumulation so far is rescaled to it. Pinned like the fp32 worker.
+SWAT_NO_FP_CONTRACT
+void online_step(OnlineRow& row, float s, const float* vr, float* za,
+                 std::int64_t h) {
+  SWAT_NO_FP_CONTRACT_BODY
+  if (s > row.running_max) {
+    const float rescale =
+        (row.denom == 0.0f) ? 0.0f : std::exp(row.running_max - s);
+    row.denom *= rescale;
+    for (std::int64_t d = 0; d < h; ++d) za[d] *= rescale;
+    row.running_max = s;
+  }
+  const float e = std::exp(s - row.running_max);
+  row.denom += e;
+  for (std::int64_t d = 0; d < h; ++d) za[d] += e * vr[d];
+}
+
+/// True when a finished Eq. 1 row must be recomputed by the guard: its
+/// denominator overflowed, or an output lane is inf/NaN. The lane test ORs
+/// (exponent field + one exponent ulp) across the row, which carries into
+/// bit 31 only for an all-ones exponent; it is integer-only, so it
+/// vectorizes where a float compare reduction would not.
+bool row_needs_guard(float denom, const float* z, std::int64_t h) {
+  std::uint32_t carry = 0;
+  for (std::int64_t d = 0; d < h; ++d) {
+    carry |= (std::bit_cast<std::uint32_t>(z[d]) & 0x7f800000u) + 0x00800000u;
+  }
+  return std::isinf(denom) || (carry & 0x80000000u) != 0;
+}
 
 // Defined below; the serial workers the batch entry point fans out.
 SWAT_NO_FP_CONTRACT
@@ -111,6 +158,42 @@ std::int64_t fused_window_kv_stream_bytes(std::int64_t seq_len,
 
 namespace {
 
+/// Score stage of the fp32 worker for one query row: sb[c] = sum_d qs[d] *
+/// ktc[d * tk + c] for c < count, where ktc points at the row's first band
+/// column in the transposed K tile. d-major, so each score column keeps
+/// dot()'s exact ascending-d order while the c loop vectorizes.
+SWAT_NO_FP_CONTRACT
+inline void f32_scores(const float* qs, const float* ktc, std::int64_t tk,
+                       std::int64_t count, std::int64_t h,
+                       float* __restrict sb) {
+  SWAT_NO_FP_CONTRACT_BODY
+  std::fill(sb, sb + count, 0.0f);
+  for (std::int64_t d = 0; d < h; ++d) {
+    const float qd = qs[d];
+    const float* const __restrict ktd = ktc + d * tk;
+    for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
+  }
+}
+
+/// The fp32 worker's row guard (see OnlineRow) for one query row: rebuild
+/// the raw scores, run the online form over the band (V row c at v0 + c *
+/// vstride) and overwrite zrow. Out of line so the hot row loop stays
+/// compact.
+[[gnu::noinline]] SWAT_NO_FP_CONTRACT void f32_guard_row(
+    const float* qs, const float* ktc, std::int64_t tk, std::int64_t count,
+    std::int64_t h, const float* v0, std::int64_t vstride, float* sb,
+    float* za, float* zrow) {
+  SWAT_NO_FP_CONTRACT_BODY
+  f32_scores(qs, ktc, tk, count, h, sb);
+  OnlineRow row;
+  std::fill(za, za + h, 0.0f);
+  for (std::int64_t c = 0; c < count; ++c) {
+    online_step(row, sb[c], v0 + c * vstride, za, h);
+  }
+  SWAT_ENSURES(row.denom > 0.0f);
+  for (std::int64_t d = 0; d < h; ++d) zrow[d] = za[d] / row.denom;
+}
+
 // Query rows are processed in tiles: for each tile the K head slice its
 // band can touch (tile rows + window reach, independent of the sequence
 // length) is transposed once into per-thread scratch, so the score stage
@@ -182,12 +265,7 @@ void fused_window_tasks(ConstMatrixView q, ConstMatrixView k,
           // (d and j ascending everywhere), so per-head outputs are
           // bit-identical to the per-head kernel.
           float* const __restrict sb = sp;
-          std::fill(sb, sb + count, 0.0f);
-          for (std::int64_t d = 0; d < h; ++d) {
-            const float qd = qs[d];
-            const float* const __restrict ktd = kt + d * tk + (lo - tk0);
-            for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
-          }
+          f32_scores(qs, kt + (lo - tk0), tk, count, h, sb);
           float denom = 0.0f;
           for (std::int64_t c = 0; c < count; ++c) {
             sb[c] = std::exp(sb[c]);
@@ -201,13 +279,86 @@ void fused_window_tasks(ConstMatrixView q, ConstMatrixView k,
             const float e = sb[c];
             for (std::int64_t d = 0; d < h; ++d) za[d] += e * vr[d];
           }
-          SWAT_ENSURES(denom > 0.0f);
           float* const zrow = out.row(row0 + i).data() + base;
           for (std::int64_t d = 0; d < h; ++d) zrow[d] = za[d] / denom;
+          if (row_needs_guard(denom, zrow, h)) [[unlikely]] {
+            f32_guard_row(qs, kt + (lo - tk0), tk, count, h,
+                          v.row(row0 + lo).data() + base, v.stride(), sb, za,
+                          zrow);
+          }
         }
       }
     }
   }
+}
+
+#if defined(__F16C__)
+using TileElem = std::uint16_t;  // fp16 K/V tile bits, widened in-register
+#else
+using TileElem = float;  // the K/V tiles' fp32 twins
+#endif
+
+/// Score stage of the fp16 worker for one query row: sb[c] = sum_d qs[d] *
+/// ktc[d * tk + c] for c < count, where ktc points at the row's first band
+/// column in the transposed K tile. Each score column sums its d terms in
+/// ascending order (lanes never split one element's reduction).
+inline void f16_scores(const float* qs, const TileElem* ktc, std::int64_t tk,
+                       std::int64_t count, std::int64_t h,
+                       float* __restrict sb) {
+  std::fill(sb, sb + count, 0.0f);
+  for (std::int64_t d = 0; d < h; ++d) {
+    const float qd = qs[d];
+#if defined(__F16C__)
+    const std::uint16_t* const __restrict ktd = ktc + d * tk;
+    std::int64_t c = 0;
+#if defined(__AVX512F__)
+    // 32 fp16 bytes feed a full 64-byte zmm FMA — the halved stream
+    // doubles the lanes one load port cycle can supply.
+    const __m512 qd16 = _mm512_set1_ps(qd);
+    for (; c + 16 <= count; c += 16) {
+      const __m512 kw = _mm512_cvtph_ps(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ktd + c)));
+      _mm512_storeu_ps(sb + c,
+                       _mm512_fmadd_ps(qd16, kw, _mm512_loadu_ps(sb + c)));
+    }
+#endif
+    const __m256 qd8 = _mm256_set1_ps(qd);
+    for (; c + 8 <= count; c += 8) {
+      const __m256 kw = _mm256_cvtph_ps(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(ktd + c)));
+      _mm256_storeu_ps(sb + c,
+                       _mm256_fmadd_ps(qd8, kw, _mm256_loadu_ps(sb + c)));
+    }
+    for (; c < count; ++c) sb[c] += qd * f16_tail_to_f32(ktd[c]);
+#else
+    const float* const __restrict ktd = ktc + d * tk;
+    for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
+#endif
+  }
+}
+
+/// The fp16 worker's row guard (see OnlineRow) for one query row: rebuild
+/// the raw scores, run the online form over the row-layout V band (row c
+/// at vb + c * h) and overwrite zrow. The scaled query row in qs is dead
+/// once the scores are in, so on F16C hosts its scratch holds each
+/// widened V row. Out of line so the hot row loop stays compact.
+[[gnu::noinline]] void f16_guard_row(float* qs, const TileElem* ktc,
+                                     std::int64_t tk, std::int64_t count,
+                                     std::int64_t h, const TileElem* vb,
+                                     float* sb, float* za, float* zrow) {
+  f16_scores(qs, ktc, tk, count, h, sb);
+  OnlineRow row;
+  std::fill(za, za + h, 0.0f);
+  for (std::int64_t c = 0; c < count; ++c) {
+#if defined(__F16C__)
+    f16_bits_to_f32_batch(vb + c * h, qs, static_cast<std::size_t>(h));
+    online_step(row, sb[c], qs, za, h);
+#else
+    online_step(row, sb[c], vb + c * h, za, h);
+#endif
+  }
+  SWAT_ENSURES(row.denom > 0.0f);
+  for (std::int64_t d = 0; d < h; ++d) zrow[d] = za[d] / row.denom;
 }
 
 // fp16 streamed-tile twin of fused_window_tasks. The transposed K tile and
@@ -262,6 +413,11 @@ void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
                               static_cast<std::size_t>(tile_cols * h));
     float* const kt32 = kt32_lease.data();
     float* const vb32 = vb32_lease.data();
+    const TileElem* const ktile = kt32;
+    const TileElem* const vband = vb32;
+#else
+    const TileElem* const ktile = kt16;
+    const TileElem* const vband = vb16;
 #endif
     for (std::int64_t t = t0; t < t1; ++t) {
       const std::int64_t s = t / num_heads;
@@ -309,38 +465,7 @@ void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
           // accumulates its d-sum in ascending order (lanes never split a
           // single element's reduction), exactly like the fp32 worker.
           float* const __restrict sb = sp;
-          std::fill(sb, sb + count, 0.0f);
-          for (std::int64_t d = 0; d < h; ++d) {
-            const float qd = qs[d];
-#if defined(__F16C__)
-            const std::uint16_t* const __restrict ktd = kt16 + d * tk + loff;
-            std::int64_t c = 0;
-#if defined(__AVX512F__)
-            // 32 fp16 bytes feed a full 64-byte zmm FMA — the halved
-            // stream doubles the lanes one load port cycle can supply.
-            const __m512 qd16 = _mm512_set1_ps(qd);
-            for (; c + 16 <= count; c += 16) {
-              const __m512 kw = _mm512_cvtph_ps(_mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(ktd + c)));
-              _mm512_storeu_ps(
-                  sb + c,
-                  _mm512_fmadd_ps(qd16, kw, _mm512_loadu_ps(sb + c)));
-            }
-#endif
-            const __m256 qd8 = _mm256_set1_ps(qd);
-            for (; c + 8 <= count; c += 8) {
-              const __m256 kw = _mm256_cvtph_ps(_mm_loadu_si128(
-                  reinterpret_cast<const __m128i*>(ktd + c)));
-              _mm256_storeu_ps(
-                  sb + c,
-                  _mm256_fmadd_ps(qd8, kw, _mm256_loadu_ps(sb + c)));
-            }
-            for (; c < count; ++c) sb[c] += qd * f16_tail_to_f32(ktd[c]);
-#else
-            const float* const __restrict ktd = kt32 + d * tk + loff;
-            for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
-#endif
-          }
+          f16_scores(qs, ktile + loff, tk, count, h, sb);
           // Exp pass: the fp16 stream trades oracle bit-parity for speed
           // under the fidelity budget, so it may use libmvec's vectorized
           // expf (<= 4 ulp — orders of magnitude inside the binary16
@@ -399,9 +524,12 @@ void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
             for (std::int64_t d = 0; d < h; ++d) za[d] += e * vr[d];
 #endif
           }
-          SWAT_ENSURES(denom > 0.0f);
           float* const zrow = out.row(row0 + i).data() + base;
           for (std::int64_t d = 0; d < h; ++d) zrow[d] = za[d] / denom;
+          if (row_needs_guard(denom, zrow, h)) [[unlikely]] {
+            f16_guard_row(qs, ktile + loff, tk, count, h, vband + loff * h, sb,
+                          za, zrow);
+          }
         }
       }
     }
@@ -443,25 +571,14 @@ MatrixF fused_window_attention_online(const HeadInput& in,
   for (std::int64_t i = 0; i < n; ++i) {
     const std::int64_t lo = std::max<std::int64_t>(0, i - window_radius);
     const std::int64_t hi = std::min<std::int64_t>(n - 1, i + window_radius);
-    float running_max = -std::numeric_limits<float>::infinity();
-    float denom = 0.0f;
+    OnlineRow row;
     auto zrow = z.row(i);
     for (std::int64_t j = lo; j <= hi; ++j) {
-      const float s = dot(in.q.row(i), in.k.row(j));
-      if (s > running_max) {
-        // Rescale previous accumulation to the new max.
-        const float scale =
-            (denom == 0.0f) ? 0.0f : std::exp(running_max - s);
-        denom *= scale;
-        for (float& v : zrow) v *= scale;
-        running_max = s;
-      }
-      const float e = std::exp(s - running_max);
-      denom += e;
-      axpy(e, in.v.row(j), zrow);
+      online_step(row, dot(in.q.row(i), in.k.row(j)), in.v.row(j).data(),
+                  zrow.data(), h);
     }
-    SWAT_ENSURES(denom > 0.0f);
-    for (float& v : zrow) v /= denom;
+    SWAT_ENSURES(row.denom > 0.0f);
+    for (float& v : zrow) v /= row.denom;
   }
   return z;
 }

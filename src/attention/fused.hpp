@@ -48,14 +48,14 @@ MatrixF fused_window_attention(const HeadInput& in,
 /// window_after), for any thread count and batch composition.
 ///
 /// Numeric envelope: this is the paper's form — exp WITHOUT max
-/// subtraction — and it inherits Eq. 1's float range: a scaled logit
-/// above ~88.7 overflows exp to inf (NaN output after the division), and
-/// a row whose whole band sits below ~-87.3 underflows every term (the
-/// denom > 0 invariant throws). With the 1/sqrt(h) scaling folded into Q
-/// (as the model layer does), trained-model-like logits are comfortably
-/// inside that range; for adversarial magnitudes use the
-/// kWindowExact backend (stable softmax) or fused_window_attention_online
-/// (running max) instead.
+/// subtraction — which alone would inherit Eq. 1's float range: a scaled
+/// logit above ~88.7 overflows exp to inf, and a row whose whole band sits
+/// below ~-103 underflows every term. A per-row guard covers the gap: a
+/// row whose denominator overflows, or whose output holds an inf or NaN,
+/// is recomputed from its scores in fused_window_attention_online's
+/// running-max form. In-range rows (every row, for trained-model-like
+/// logits with the 1/sqrt(h) scaling folded into Q) never take the guard
+/// and keep the Eq. 1 bits described above.
 ///
 /// `stream_dtype` selects the streamed-tile precision (the paper's
 /// datapath is natively fp16, §4 / Table 2):

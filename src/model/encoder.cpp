@@ -74,8 +74,6 @@ void EncoderConfig::validate() const {
   swat.validate();  // core partition / dilation / clock consistency
 }
 
-float gelu(float x) { return swat::gelu(x); }
-
 void EncoderLayerScratch::bind(const EncoderConfig& cfg,
                                std::int64_t max_tokens) {
   SWAT_EXPECTS(max_tokens >= 0);

@@ -199,7 +199,4 @@ class Encoder {
   std::vector<std::unique_ptr<EncoderLayer>> layers_;
 };
 
-/// GELU activation (tanh approximation), exposed for tests.
-float gelu(float x);
-
 }  // namespace swat::model

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <numbers>
 #include <optional>
 
 #include "common/fp16.hpp"
@@ -384,6 +383,57 @@ void pack_weight_nt(const MatrixF& w, PackedWeight& packed, Dtype dtype) {
 
 namespace {
 
+// GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3))) with
+// c = sqrt(2 / pi). tanh is the odd 13/6 rational polynomial Eigen uses for
+// float tanh, on an argument clamped to +-7.90531110763549805, where the
+// rational (evaluated without FMA, as here) rounds to exactly +-1. The
+// body is branch-free and fixed-order, using only IEEE mul, add, div, min
+// and max, so a vectorized loop rounds every lane exactly as a scalar call
+// does; SWAT_NO_FP_CONTRACT keeps FMA contraction from changing that on
+// FMA ISAs. x is floored at -FLT_MAX so gelu(-inf) is -0 (not -inf * 0);
+// a NaN passes through every step, since each min/max returns its NaN
+// first operand. Internal linkage, so GCC inlines it into every loop below
+// (the external gelu() it backs would be called per element instead).
+SWAT_NO_FP_CONTRACT inline float gelu_eval(float x) {
+  SWAT_NO_FP_CONTRACT_BODY
+  constexpr float kC = 0.797884560802865355f;  // sqrt(2 / pi)
+  constexpr float kClamp = 7.90531110763549805f;
+  constexpr float kA1 = 4.89352455891786e-03f;
+  constexpr float kA3 = 6.37261928875436e-04f;
+  constexpr float kA5 = 1.48572235717979e-05f;
+  constexpr float kA7 = 5.12229709037114e-08f;
+  constexpr float kA9 = -8.60467152213735e-11f;
+  constexpr float kA11 = 2.00018790482477e-13f;
+  constexpr float kA13 = -2.76076847742355e-16f;
+  constexpr float kB0 = 4.89352518554385e-03f;
+  constexpr float kB2 = 2.26843463243900e-03f;
+  constexpr float kB4 = 1.18534705686654e-04f;
+  constexpr float kB6 = 1.19825839466702e-06f;
+  const float xf = std::max(x, -std::numeric_limits<float>::max());
+  const float u = kC * (xf + 0.044715f * xf * xf * xf);
+  const float t = std::max(std::min(u, kClamp), -kClamp);
+  const float t2 = t * t;
+  float p = t2 * kA13 + kA11;
+  p = t2 * p + kA9;
+  p = t2 * p + kA7;
+  p = t2 * p + kA5;
+  p = t2 * p + kA3;
+  p = t2 * p + kA1;
+  p = t * p;
+  float q = t2 * kB6 + kB4;
+  q = t2 * q + kB2;
+  q = t2 * q + kB0;
+  return 0.5f * xf * (1.0f + p / q);
+}
+
+/// out[i] = gelu(in[i]) for i < n; `out` may alias `in`. The one loop body
+/// behind gelu_into (both branches) and the fused FFN-expand epilogue.
+SWAT_NO_FP_CONTRACT void gelu_span(const float* in, float* out,
+                                   std::int64_t n) {
+  SWAT_NO_FP_CONTRACT_BODY
+  for (std::int64_t i = 0; i < n; ++i) out[i] = gelu_eval(in[i]);
+}
+
 enum class PackedEpilogue { kNone, kGelu, kResidualAdd };
 
 constexpr std::int64_t kPanel = PackedWeight::kPanel;
@@ -402,20 +452,30 @@ constexpr std::int64_t kPackedRowTile = 6;
 constexpr std::int64_t kPackedRowGrain = 60;
 constexpr std::int64_t kPackedPanelGrain = 8;
 
-/// Apply the epilogue to one accumulator and store it. The accumulator
-/// already holds bias + sum_k a*w in ascending-k order; GELU and the
-/// residual add see exactly the value a separate pass would have loaded,
-/// so the fused epilogues are bit-identical to the unfused sequence.
-inline float packed_finish(float acc, PackedEpilogue ep, float residual) {
-  switch (ep) {
-    case PackedEpilogue::kNone:
-      return acc;
-    case PackedEpilogue::kGelu:
-      return gelu(acc);
-    case PackedEpilogue::kResidualAdd:
-      return acc + residual;
+/// Apply the epilogue to one register tile and store its `width` live
+/// lanes. The accumulators already hold bias + sum_k a*w in ascending-k
+/// order. GELU runs as a whole-row pass over each row's kPanel lanes
+/// (padded lanes hold finite zeros and are computed but never stored)
+/// through the same gelu_span every GELU entry point uses, and the residual
+/// add sees exactly the value a separate pass would have loaded, so the
+/// fused epilogues are bit-identical to the unfused sequence.
+template <int ROWS>
+SWAT_NO_FP_CONTRACT void packed_store(float (&acc)[ROWS][kPanel],
+                                      PackedEpilogue ep,
+                                      ConstMatrixView residual, MatrixView out,
+                                      std::int64_t i, std::int64_t j0,
+                                      std::int64_t width) {
+  SWAT_NO_FP_CONTRACT_BODY
+  if (ep == PackedEpilogue::kGelu) {
+    for (int r = 0; r < ROWS; ++r) gelu_span(acc[r], acc[r], kPanel);
   }
-  return acc;  // unreachable
+  for (int r = 0; r < ROWS; ++r) {
+    for (std::int64_t l = 0; l < width; ++l) {
+      out(i + r, j0 + l) = ep == PackedEpilogue::kResidualAdd
+                               ? acc[r][l] + residual(i + r, j0 + l)
+                               : acc[r][l];
+    }
+  }
 }
 
 /// Register-tiled microkernel: ROWS query rows against one packed panel.
@@ -456,14 +516,7 @@ SWAT_NO_FP_CONTRACT void gemm_packed_tile(
       for (std::int64_t l = 0; l < kPanel; ++l) acc[r][l] += av * bp[l];
     }
   }
-  for (int r = 0; r < ROWS; ++r) {
-    for (std::int64_t l = 0; l < width; ++l) {
-      out(i + r, j0 + l) = packed_finish(
-          acc[r][l], ep,
-          ep == PackedEpilogue::kResidualAdd ? residual(i + r, j0 + l)
-                                             : 0.0f);
-    }
-  }
+  packed_store<ROWS>(acc, ep, residual, out, i, j0, width);
 }
 
 /// The fp16 variant of gemm_packed_tile: identical loop structure and
@@ -507,14 +560,7 @@ void gemm_packed_tile_contract(const float* a, std::int64_t lda,
       for (std::int64_t l = 0; l < kPanel; ++l) acc[r][l] += av * bp[l];
     }
   }
-  for (int r = 0; r < ROWS; ++r) {
-    for (std::int64_t l = 0; l < width; ++l) {
-      out(i + r, j0 + l) = packed_finish(
-          acc[r][l], ep,
-          ep == PackedEpilogue::kResidualAdd ? residual(i + r, j0 + l)
-                                             : 0.0f);
-    }
-  }
+  packed_store<ROWS>(acc, ep, residual, out, i, j0, width);
 }
 
 /// Serial packed-GEMM over rows [i0, i1) and panels [p0, p1): full
@@ -731,15 +777,7 @@ MatrixF layer_norm_naive(const MatrixF& x, std::span<const float> gamma,
   return y;
 }
 
-// No-contract so the polynomial rounds identically wherever it is called
-// from — the fused GEMM epilogue (itself a no-contract context), the
-// gelu_into pass, and the scalar oracle — on FMA and non-FMA ISAs alike.
-SWAT_NO_FP_CONTRACT
-float gelu(float x) {
-  SWAT_NO_FP_CONTRACT_BODY
-  const float c = std::sqrt(2.0f / std::numbers::pi_v<float>);
-  return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
-}
+float gelu(float x) { return gelu_eval(x); }
 
 void gelu_into(ConstMatrixView x, MatrixView out) {
   SWAT_EXPECTS(out.rows() == x.rows() && out.cols() == x.cols());
@@ -748,15 +786,13 @@ void gelu_into(ConstMatrixView x, MatrixView out) {
     float* o = out.data();
     parallel_for(0, x.size(), kElemGrain,
                  [&](std::int64_t b, std::int64_t e) {
-                   for (std::int64_t i = b; i < e; ++i) o[i] = gelu(in[i]);
+                   gelu_span(in + b, o + b, e - b);
                  });
     return;
   }
   parallel_for(0, x.rows(), 8, [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t i = r0; i < r1; ++i) {
-      auto in = x.row(i);
-      auto o = out.row(i);
-      for (std::size_t j = 0; j < in.size(); ++j) o[j] = gelu(in[j]);
+      gelu_span(x.row(i).data(), out.row(i).data(), x.cols());
     }
   });
 }

@@ -161,9 +161,11 @@ MatrixF matmul_nt_naive(const MatrixF& a, const MatrixF& b);
 //    precision-fidelity test against the calibration budget, not by
 //    bit-equality.
 //
-// Fused epilogues (bias seed, GELU, residual add) touch each output
-// element once while it is still in a register instead of re-streaming the
-// output matrix per pass.
+// Fused epilogues (bias seed, GELU, residual add) run on the register tile
+// before its single store instead of re-streaming the output matrix per
+// pass. GELU is one vectorized pass over each tile row, pinned
+// no-contract in both tile variants, so it matches gelu_into bit for bit
+// at either pack dtype.
 struct PackedWeight {
   /// Output columns per packed panel (the microkernel's register width:
   /// 32 lanes x 6 rows of accumulators = 12 independent FMA chains on
@@ -257,7 +259,8 @@ void gemm_packed_into(ConstMatrixView a, const PackedWeight& w,
                       std::span<const float> bias, MatrixView out);
 
 /// out = gelu(A * W^T + bias): the FFN-expand epilogue. Bit-identical to
-/// gemm_packed_into followed by gelu_into, without the extra pass.
+/// gemm_packed_into followed by gelu_into (fp32 and fp16 packs alike),
+/// without the extra pass.
 void gemm_packed_gelu_into(ConstMatrixView a, const PackedWeight& w,
                            std::span<const float> bias, MatrixView out);
 
@@ -306,9 +309,14 @@ void layer_norm_into(ConstMatrixView x, std::span<const float> gamma,
 MatrixF layer_norm_naive(const MatrixF& x, std::span<const float> gamma,
                          std::span<const float> beta, float eps);
 
-/// GELU activation, tanh approximation — the exact expression the encoder
-/// has always used, exposed at the tensor layer so the planned and the
-/// allocating paths share one definition.
+/// GELU activation, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715
+/// x^3))), c = sqrt(2 / pi), with tanh evaluated as a clamped odd 13/6
+/// rational polynomial (Eigen's float tanh) in a fixed, branch-free order of
+/// IEEE mul/add/div/min/max. Within 2e-6 of the double-precision tanh form
+/// everywhere; gelu(+inf) = +inf, gelu(-inf) = -0, NaN propagates. This is
+/// the one definition: gelu_naive, gelu_into and the fused FFN-expand
+/// epilogue (gemm_packed_gelu_into) all evaluate exactly this expression,
+/// scalar or vectorized, with bit-identical results.
 float gelu(float x);
 
 /// out[i, j] = gelu(x[i, j]); `out` may alias x (in-place).

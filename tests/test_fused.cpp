@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "attention/fused.hpp"
 #include "attention/window.hpp"
+#include "common/fp16.hpp"
 #include "test_util.hpp"
 
 namespace swat::attn {
@@ -31,6 +34,84 @@ TEST(FusedOnline, EqualsTwoPassEvenWithLargeScores) {
   swat::testing::expect_matrix_near(fused_window_attention_online(in, 8),
                                     window_attention(in, 8), 1e-4f,
                                     "online vs two-pass");
+}
+
+bool all_finite(const MatrixF& m) {
+  for (const float x : m.flat()) {
+    if (!std::isfinite(x)) return false;
+  }
+  return true;
+}
+
+TEST(FusedBatchRowGuard, OutOfRangeScoresMatchTheOnlineKernel) {
+  // A standard-normal input at 6x scale puts the scaled logits at O(100):
+  // Eq. 1's unshifted exp leaves float range on many rows. The batch
+  // kernel's row guard must recompute exactly those rows in the online
+  // (running-max) form, at both stream precisions.
+  const std::int64_t heads = 2, h = 64, d_model = heads * h, radius = 16;
+  const std::vector<std::int64_t> offsets = {0, 150, 220};
+  const std::int64_t rows = offsets.back();
+  Rng rng(31);
+  const MatrixF q = random_normal(rows, d_model, rng, 6.0);
+  const MatrixF k = random_normal(rows, d_model, rng, 6.0);
+  const MatrixF v = random_normal(rows, d_model, rng, 6.0);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(h));
+  const auto round = [](float x, Dtype dt) {
+    return dt == Dtype::kFp16 ? Half(x).to_float() : x;
+  };
+  for (const Dtype dt : {Dtype::kFp32, Dtype::kFp16}) {
+    MatrixF out(rows, d_model);
+    fused_window_attention_batch_into(q, k, v, offsets, heads, radius, radius,
+                                      scale, out, dt);
+    MatrixF out_1t(rows, d_model);
+    {
+      swat::testing::ThreadCountGuard one(1);
+      fused_window_attention_batch_into(q, k, v, offsets, heads, radius,
+                                        radius, scale, out_1t, dt);
+    }
+    swat::testing::expect_matrix_equal(out_1t, out, "guard across threads");
+    bool eq1_breaks = false;
+    for (std::size_t s = 0; s + 1 < offsets.size(); ++s) {
+      const std::int64_t row0 = offsets[s];
+      const std::int64_t n = offsets[s + 1] - row0;
+      for (std::int64_t head = 0; head < heads; ++head) {
+        // The head slice as the kernel sees it: scale folded into Q with
+        // one rounding, K/V at the stream precision.
+        HeadInput in;
+        in.q = MatrixF(n, h);
+        in.k = MatrixF(n, h);
+        in.v = MatrixF(n, h);
+        for (std::int64_t i = 0; i < n; ++i) {
+          for (std::int64_t d = 0; d < h; ++d) {
+            in.q(i, d) = q(row0 + i, head * h + d) * scale;
+            in.k(i, d) = round(k(row0 + i, head * h + d), dt);
+            in.v(i, d) = round(v(row0 + i, head * h + d), dt);
+          }
+        }
+        const MatrixF want = fused_window_attention_online(in, radius);
+        MatrixF got(n, h);
+        for (std::int64_t i = 0; i < n; ++i) {
+          for (std::int64_t d = 0; d < h; ++d) {
+            got(i, d) = out(row0 + i, head * h + d);
+          }
+        }
+        ASSERT_TRUE(all_finite(got));
+        // fp16 streams may contract to FMA and use a <= 4 ulp vector exp;
+        // at O(100) logits that moves outputs by ~1e-4 (measured 8e-5).
+        swat::testing::expect_matrix_near(
+            got, want, dt == Dtype::kFp16 ? 1e-3f : 1e-4f,
+            "guarded batch vs online");
+        try {
+          eq1_breaks =
+              eq1_breaks || !all_finite(fused_window_attention(in, radius));
+        } catch (const std::logic_error&) {
+          eq1_breaks = true;
+        }
+      }
+    }
+    // The input really is out of Eq. 1's range, so the guard ran.
+    EXPECT_TRUE(eq1_breaks);
+  }
 }
 
 TEST(FusedNaive, DenominatorFactorsOut) {

@@ -1,7 +1,12 @@
 // Tests for the dense host kernels (the oracles' oracle).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numbers>
+#include <vector>
 
 #include "tensor/kernels.hpp"
 #include "test_util.hpp"
@@ -156,6 +161,89 @@ TEST(GeluInto, MatchesNaiveOracleBitExactIncludingInPlace) {
   MatrixF inplace = x;
   gelu_into(inplace, inplace);
   swat::testing::expect_matrix_equal(inplace, want, "in-place gelu");
+}
+
+double gelu_reference(double x) {
+  const double c = std::sqrt(2.0 / std::numbers::pi);
+  return 0.5 * x * (1.0 + std::tanh(c * (x + 0.044715 * x * x * x)));
+}
+
+TEST(Gelu, WithinTwoMicroOfDoublePrecisionTanhForm) {
+  // Every 997th float bit pattern up to 1e4 (every binade, both signs),
+  // plus a fine linear sweep of [-8, 8] where tanh bends and the rational
+  // approximation's error peaks.
+  std::vector<float> xs;
+  const std::uint32_t top = std::bit_cast<std::uint32_t>(1e4f);
+  for (std::uint32_t b = 0; b <= top; b += 997) {
+    const float x = std::bit_cast<float>(b);
+    xs.push_back(x);
+    xs.push_back(-x);
+  }
+  for (int i = -8 * 4096; i <= 8 * 4096; ++i) xs.push_back(i / 4096.0f);
+  double worst = 0.0;
+  float worst_x = 0.0f;
+  for (const float x : xs) {
+    const double err = std::fabs(static_cast<double>(gelu(x)) - gelu_reference(x));
+    if (err > worst) {
+      worst = err;
+      worst_x = x;
+    }
+  }
+  EXPECT_LE(worst, 2e-6) << "at x = " << worst_x;
+}
+
+TEST(Gelu, EdgesSaturateAndNaNPropagates) {
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(gelu(-1e30f), 0.0f);
+  EXPECT_TRUE(std::signbit(gelu(-1e30f)));
+  EXPECT_EQ(gelu(3e38f), 3e38f);
+  EXPECT_EQ(gelu(inf), inf);
+  EXPECT_EQ(gelu(-inf), 0.0f);
+  EXPECT_TRUE(std::signbit(gelu(-inf)));
+  EXPECT_TRUE(std::isnan(gelu(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_EQ(gelu(0.0f), 0.0f);
+  EXPECT_TRUE(std::signbit(gelu(-0.0f)));
+  // The vectorized pass rounds specials exactly as the scalar oracle:
+  // compare bit patterns, since NaN never compares equal.
+  MatrixF x(1, 40);
+  const float specials[] = {-1e30f, 3e38f, inf, -inf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -0.0f, 1e-40f, -7.0f};
+  for (std::int64_t j = 0; j < x.cols(); ++j) {
+    x(0, j) = specials[j % 8] * (j < 8 ? 1.0f : 1.5f);
+  }
+  const MatrixF want = gelu_naive(x);
+  MatrixF got(1, 40);
+  gelu_into(x, got);
+  for (std::int64_t j = 0; j < x.cols(); ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got(0, j)),
+              std::bit_cast<std::uint32_t>(want(0, j)))
+        << "lane " << j;
+  }
+}
+
+TEST(GemmPackedGelu, FusedEpilogueBitIdenticalToUnfusedPassBothDtypes) {
+  // 13 rows: two 6-row register tiles plus a single-row tail. 45 outputs:
+  // the second panel has 13 live lanes and 19 padded ones, which the
+  // whole-row GELU pass computes but must never store.
+  Rng rng(26);
+  const std::int64_t m = 13, k = 40, n = 45;
+  const MatrixF a = random_normal(m, k, rng, 2.0);
+  const MatrixF w = random_normal(n, k, rng, 0.5);
+  std::vector<float> bias(static_cast<std::size_t>(n));
+  for (float& b : bias) b = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (const Dtype dtype : {Dtype::kFp32, Dtype::kFp16}) {
+    PackedWeight packed;
+    pack_weight_nt(w, packed, dtype);
+    MatrixF plain(m, n);
+    gemm_packed_into(a, packed, bias, plain);
+    MatrixF unfused(m, n);
+    gelu_into(plain, unfused);
+    MatrixF fused(m, n, -1.0f);
+    gemm_packed_gelu_into(a, packed, bias, fused);
+    swat::testing::expect_matrix_equal(fused, unfused,
+                                       "fused GELU epilogue vs pass");
+  }
 }
 
 TEST(AddRowsInto, MatchesNaiveOracleAndAliasing) {
